@@ -1,36 +1,29 @@
-"""Scalar pair-bounds loop vs the batched broadcast kernel.
+"""Scalar pair-bounds loop vs the CSR pair-bounds kernel.
 
 For a seeded set of influence candidates and a target/reference partition
-grid, the per-pair ``PDom`` bounds are computed twice:
+grid, the per-pair ``PDom`` bounds are computed two ways:
 
-* **scalar** — the seed-style triple loop: one
+* **scalar** — the test oracle's triple loop: one
   :func:`repro.core.pdom_bounds_from_partitions` call per *(target partition,
-  reference partition, candidate)* triple.  This path is kept in the code
-  base as the reference fallback.
-* **batched** — one :func:`repro.core.pdom_bounds_batch` call per partition
-  count: the padded ``(num_candidates, max_partitions, d, 2)`` tensor against
-  the full partition grids, one broadcast ``domination_bulk`` dispatch.
+  reference partition, candidate)* triple;
+* **csr** — one :func:`repro.core.pdom_bounds_csr` call over the ragged CSR
+  batch built by :func:`repro.uncertain.csr_partitions_batch` (concatenation
+  included, batch cache cleared before every repeat).
 
-Both must produce the same bound matrices (up to ULP-level summation
-re-association, checked with a tight tolerance); the sweep over candidate
-decomposition depths shows how the speedup scales with the partition count.
+Both must produce the same bound matrices (up to summation re-association,
+checked with a tight tolerance); the sweep over candidate decomposition
+depths shows how the speedup scales with the partition count.
 
-A second, **ragged** section benchmarks the layouts the engine actually
-chooses between on a mixed-depth frontier (depths cycling ``1 + i % 5``, so
-per-candidate partition counts span 2..32):
+A second, **ragged** section runs the hot path's own shape: a mixed-depth
+frontier (depths cycling ``1 + i % 5``, so per-candidate partition counts
+span 2..32).  It times the scalar loop, the CSR kernel cold (concatenation
+included) and the CSR kernel with the per-depth-set batch cache warm (the
+steady state of an unchanged frontier).  The scalar loop runs identical code
+on every machine, so CI uses it to rescale the committed timings.
 
-* **padded** — pad every candidate to the widest count and call
-  :func:`repro.core.pdom_bounds_batch` (the legacy layout, with its
-  per-iteration pad copies),
-* **csr-numpy** / **csr-numba** — the CSR layout consumed by
-  :func:`repro.core.pdom_bounds_csr`, timed both cold (concatenation
-  included) and with the per-depth-set batch cache warm (the steady-state
-  hot path).  The numba row only appears when numba is importable.
-
-Results, together with the host environment metadata
-(:func:`repro.core.kernel_environment`), are written to
-``BENCH_kernel.json`` (override with the ``BENCH_KERNEL_JSON`` environment
-variable).
+Results, together with the host environment (``nproc`` and
+:func:`repro.core.kernel_environment`), are written to ``BENCH_kernel.json``
+(override with the ``BENCH_KERNEL_JSON`` environment variable).
 
 Run standalone::
 
@@ -49,8 +42,8 @@ import time
 
 import numpy as np
 
-from repro.core import pdom_bounds_batch, pdom_bounds_csr, pdom_bounds_from_partitions
-from repro.core.kernels import kernel_environment, numba_available
+from repro.core import pdom_bounds_csr, pdom_bounds_from_partitions
+from repro.core.kernels import kernel_environment
 from repro.datasets import random_reference_object, uniform_rectangle_database
 from repro.uncertain import DecompositionTree, clear_csr_cache, csr_partitions_batch
 
@@ -58,10 +51,10 @@ NUM_CANDIDATES = 40
 GRID_DEPTH = 2  # 4 target x 4 reference partitions = 16 pairs
 CANDIDATE_DEPTHS = (2, 3, 4, 5, 6)
 SEED = 13
-REPEATS = 3
+REPEATS = 5
 RAGGED_DEPTH_CYCLE = 5  # mixed-depth frontier: depths 1 + (i % 5)
 RAGGED_REPEATS = 5
-CSR_TARGET_SPEEDUP = 1.2  # csr-numpy (cache warm) vs padded, asserted in CI
+TOLERANCE = 1e-12  # CSR vs scalar: summation re-association only
 
 
 def _workload():
@@ -76,7 +69,8 @@ def _workload():
     return candidate_trees, target_parts, reference_parts
 
 
-def _scalar_matrices(parts, target_regions, reference_regions):
+def _scalar_matrices(trees, depths, target_regions, reference_regions):
+    parts = [tree.partitions_arrays(depth) for tree, depth in zip(trees, depths)]
     num_pairs = target_regions.shape[0] * reference_regions.shape[0]
     lower = np.empty((num_pairs, len(parts)))
     upper = np.empty((num_pairs, len(parts)))
@@ -91,136 +85,65 @@ def _scalar_matrices(parts, target_regions, reference_regions):
     return lower, upper
 
 
-def _batched_matrices(trees, depth, parts, target_regions, reference_regions):
-    counts = np.array([masses.shape[0] for _, masses in parts], dtype=int)
-    pad_to = int(counts.max())
-    stacked_regions = np.stack(
-        [tree.partitions_arrays(depth, pad_to=pad_to)[0] for tree in trees]
-    )
-    stacked_masses = np.stack(
-        [tree.partitions_arrays(depth, pad_to=pad_to)[1] for tree in trees]
-    )
-    return pdom_bounds_batch(
-        stacked_regions,
-        stacked_masses,
-        target_regions,
-        reference_regions,
-        partition_counts=counts,
-    )
-
-
-def _padded_ragged(trees, depths, target_regions, reference_regions):
-    """The legacy layout on a mixed-depth frontier: pad copies + dense kernel."""
-    counts = np.array(
-        [tree.partitions_arrays(depth)[1].shape[0] for tree, depth in zip(trees, depths)],
-        dtype=int,
-    )
-    pad_to = int(counts.max())
-    stacked_regions = np.stack(
-        [
-            tree.partitions_arrays(depth, pad_to=pad_to)[0]
-            for tree, depth in zip(trees, depths)
-        ]
-    )
-    stacked_masses = np.stack(
-        [
-            tree.partitions_arrays(depth, pad_to=pad_to)[1]
-            for tree, depth in zip(trees, depths)
-        ]
-    )
-    return pdom_bounds_batch(
-        stacked_regions,
-        stacked_masses,
-        target_regions,
-        reference_regions,
-        partition_counts=counts,
-    )
-
-
-def _csr_ragged(trees, depths, target_regions, reference_regions, backend):
-    """CSR layout: one cached concatenation + the selected kernel backend."""
+def _csr_matrices(trees, depths, target_regions, reference_regions):
     batch = csr_partitions_batch(trees, depths)
     return pdom_bounds_csr(
-        batch.regions,
-        batch.masses,
-        batch.offsets,
-        target_regions,
-        reference_regions,
-        backend=backend,
+        batch.regions, batch.masses, batch.offsets, target_regions, reference_regions
     )
+
+
+def _interleaved_best(repeats, *paths):
+    """Fastest of ``repeats`` timed calls per ``(compute, cold)`` path.
+
+    The paths take turns within each repeat, so a load swing on the host
+    hits all of them alike and their ratio stays meaningful.  A cold path
+    clears the CSR batch cache first; its own call refills it, so a path
+    listed after it runs warm.  Returns ``(seconds, last result)`` per path.
+    """
+    best = [np.inf] * len(paths)
+    results = [None] * len(paths)
+    for _ in range(repeats):
+        for i, (compute, cold) in enumerate(paths):
+            if cold:
+                clear_csr_cache()
+            start = time.perf_counter()
+            results[i] = compute()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return list(zip(best, results))
+
+
+def _max_abs_diff(got, want) -> float:
+    diff = max(np.abs(got[0] - want[0]).max(), np.abs(got[1] - want[1]).max())
+    if diff > TOLERANCE:
+        # correctness gate shared by the CLI and the pytest entry point
+        raise AssertionError(f"CSR kernel diverged from the scalar loop: {diff:.3e}")
+    return float(diff)
 
 
 def _ragged_section(trees, target_regions, reference_regions) -> dict:
-    """Padded vs CSR (per backend, cold and cache-warm) on mixed depths."""
+    """Scalar vs CSR cold vs CSR cache-warm on a mixed-depth frontier."""
     depths = [1 + (i % RAGGED_DEPTH_CYCLE) for i in range(len(trees))]
     counts = [
         tree.partitions_arrays(depth)[1].shape[0] for tree, depth in zip(trees, depths)
     ]
-
-    padded_best = np.inf
-    for _ in range(RAGGED_REPEATS):
-        start = time.perf_counter()
-        padded_lower, padded_upper = _padded_ragged(
-            trees, depths, target_regions, reference_regions
+    args = (trees, depths, target_regions, reference_regions)
+    (scalar_seconds, scalar), *csr = _interleaved_best(
+        RAGGED_REPEATS,
+        (lambda: _scalar_matrices(*args), False),
+        (lambda: _csr_matrices(*args), True),
+        (lambda: _csr_matrices(*args), False),
+    )
+    rows = [{"path": "scalar", "csr_cache": None, "seconds": scalar_seconds}]
+    for cache, (seconds, result) in zip(("cold", "warm"), csr):
+        rows.append(
+            {
+                "path": "csr",
+                "csr_cache": cache,
+                "seconds": seconds,
+                "speedup_vs_scalar": scalar_seconds / max(seconds, 1e-12),
+                "max_abs_diff_vs_scalar": _max_abs_diff(result, scalar),
+            }
         )
-        padded_best = min(padded_best, time.perf_counter() - start)
-
-    backends = ["numpy"] + (["numba"] if numba_available() else [])
-    rows = [
-        {
-            "layout": "padded",
-            "backend": "numpy",
-            "csr_cache": None,
-            "seconds": padded_best,
-            "speedup_vs_padded": 1.0,
-        }
-    ]
-    for backend in backends:
-        # warm-up: with numba this also absorbs the one-off JIT compilation
-        _csr_ragged(trees, depths, target_regions, reference_regions, backend)
-
-        cold_best = np.inf
-        for _ in range(RAGGED_REPEATS):
-            clear_csr_cache()
-            start = time.perf_counter()
-            cold_lower, cold_upper = _csr_ragged(
-                trees, depths, target_regions, reference_regions, backend
-            )
-            cold_best = min(cold_best, time.perf_counter() - start)
-
-        warm_best = np.inf
-        _csr_ragged(trees, depths, target_regions, reference_regions, backend)
-        for _ in range(RAGGED_REPEATS):
-            start = time.perf_counter()
-            warm_lower, warm_upper = _csr_ragged(
-                trees, depths, target_regions, reference_regions, backend
-            )
-            warm_best = min(warm_best, time.perf_counter() - start)
-
-        max_abs_diff = float(
-            max(
-                np.abs(warm_lower - padded_lower).max(),
-                np.abs(warm_upper - padded_upper).max(),
-                np.abs(cold_lower - padded_lower).max(),
-                np.abs(cold_upper - padded_upper).max(),
-            )
-        )
-        if max_abs_diff > 1e-12:
-            raise AssertionError(
-                f"csr-{backend} diverged from the padded kernel: "
-                f"max |diff| = {max_abs_diff:.3e}"
-            )
-        for cache, seconds in (("cold", cold_best), ("warm", warm_best)):
-            rows.append(
-                {
-                    "layout": "csr",
-                    "backend": backend,
-                    "csr_cache": cache,
-                    "seconds": seconds,
-                    "speedup_vs_padded": padded_best / max(seconds, 1e-12),
-                    "max_abs_diff_vs_padded": max_abs_diff,
-                }
-            )
     return {
         "workload": {
             "num_candidates": len(trees),
@@ -232,7 +155,6 @@ def _ragged_section(trees, target_regions, reference_regions) -> dict:
             },
             "num_pairs": int(target_regions.shape[0] * reference_regions.shape[0]),
             "repeats": RAGGED_REPEATS,
-            "target_speedup": CSR_TARGET_SPEEDUP,
         },
         "rows": rows,
     }
@@ -243,47 +165,23 @@ def run_benchmark() -> dict:
     trees, (target_regions, _), (reference_regions, _) = _workload()
     rows = []
     for depth in CANDIDATE_DEPTHS:
-        parts = [tree.partitions_arrays(depth) for tree in trees]
-
-        scalar_best = np.inf
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            scalar_lower, scalar_upper = _scalar_matrices(
-                parts, target_regions, reference_regions
-            )
-            scalar_best = min(scalar_best, time.perf_counter() - start)
-
-        batch_best = np.inf
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            batch_lower, batch_upper = _batched_matrices(
-                trees, depth, parts, target_regions, reference_regions
-            )
-            batch_best = min(batch_best, time.perf_counter() - start)
-
-        max_abs_diff = float(
-            max(
-                np.abs(batch_lower - scalar_lower).max(),
-                np.abs(batch_upper - scalar_upper).max(),
-            )
+        args = (trees, [depth] * len(trees), target_regions, reference_regions)
+        (scalar_seconds, scalar), (csr_seconds, csr) = _interleaved_best(
+            REPEATS,
+            (lambda: _scalar_matrices(*args), False),
+            (lambda: _csr_matrices(*args), True),
         )
-        if max_abs_diff > 1e-12:
-            # correctness gate shared by the CLI and the pytest entry point:
-            # the kernel may differ from the scalar loop by summation
-            # re-association ULPs only
-            raise AssertionError(
-                f"batched kernel diverged from the scalar loop at depth {depth}: "
-                f"max |diff| = {max_abs_diff:.3e}"
-            )
         rows.append(
             {
                 "candidate_depth": depth,
-                "max_partitions": int(max(m.shape[0] for _, m in parts)),
+                "max_partitions": int(
+                    max(tree.partitions_arrays(depth)[1].shape[0] for tree in trees)
+                ),
                 "num_pairs": int(target_regions.shape[0] * reference_regions.shape[0]),
-                "scalar_seconds": scalar_best,
-                "batch_seconds": batch_best,
-                "speedup": scalar_best / max(batch_best, 1e-12),
-                "max_abs_diff": max_abs_diff,
+                "scalar_seconds": scalar_seconds,
+                "csr_seconds": csr_seconds,
+                "speedup": scalar_seconds / max(csr_seconds, 1e-12),
+                "max_abs_diff": _max_abs_diff(csr, scalar),
             }
         )
     return {
@@ -296,7 +194,10 @@ def run_benchmark() -> dict:
         },
         "rows": rows,
         "ragged": _ragged_section(trees, target_regions, reference_regions),
-        "environment": kernel_environment(),
+        "environment": {
+            "nproc": len(os.sched_getaffinity(0)),
+            **kernel_environment(),
+        },
     }
 
 
@@ -308,38 +209,23 @@ def _write_report(report: dict) -> str:
     return path
 
 
-def test_batched_kernel_beats_scalar_loop():
+def test_csr_kernel_beats_scalar_loop():
     report = run_benchmark()
     path = _write_report(report)
     print()
     for row in report["rows"]:
         print(
             f"depth {row['candidate_depth']}: scalar {row['scalar_seconds'] * 1e3:.1f} ms  "
-            f"batch {row['batch_seconds'] * 1e3:.1f} ms  "
+            f"csr {row['csr_seconds'] * 1e3:.1f} ms  "
             f"speedup {row['speedup']:.1f}x"
         )
     for row in report["ragged"]["rows"]:
         cache = f" ({row['csr_cache']})" if row["csr_cache"] else ""
-        print(
-            f"ragged {row['layout']}-{row['backend']}{cache}: "
-            f"{row['seconds'] * 1e3:.2f} ms  "
-            f"{row['speedup_vs_padded']:.2f}x vs padded"
-        )
+        print(f"ragged {row['path']}{cache}: {row['seconds'] * 1e3:.2f} ms")
     print(f"-> {path}")
-    # correctness is asserted inside run_benchmark; here only the speed claims
+    # correctness is asserted inside run_benchmark; here only the speed claim
     for row in report["rows"]:
-        assert row["batch_seconds"] < row["scalar_seconds"]
-    warm_numpy = next(
-        row
-        for row in report["ragged"]["rows"]
-        if row["layout"] == "csr"
-        and row["backend"] == "numpy"
-        and row["csr_cache"] == "warm"
-    )
-    assert warm_numpy["speedup_vs_padded"] >= CSR_TARGET_SPEEDUP, (
-        f"csr-numpy (cache warm) only {warm_numpy['speedup_vs_padded']:.2f}x "
-        f"over padded, target {CSR_TARGET_SPEEDUP}x"
-    )
+        assert row["csr_seconds"] < row["scalar_seconds"]
 
 
 if __name__ == "__main__":

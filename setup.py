@@ -1,15 +1,10 @@
-"""Setuptools shim for legacy editable installs (environments without wheel).
+"""Bare setuptools entry point; the project declares no packaging metadata.
 
-All project metadata lives in ``pyproject.toml``; this file only exists so
-``pip install -e . --no-use-pep517`` works in offline environments where the
-``wheel`` package is unavailable.
+The library, its tests, examples and benchmarks run straight from the
+checkout with ``PYTHONPATH=src`` and need only numpy and scipy (plus pytest
+for the suites).
 """
 
 from setuptools import setup
 
-setup(
-    # Optional compiled kernel backend for the pair-bounds hot path
-    # (src/repro/core/kernels.py).  Without it the engine transparently
-    # uses the numpy backend; results are bit-identical either way.
-    extras_require={"numba": ["numba"]},
-)
+setup()

@@ -35,7 +35,7 @@ from ..geometry import DominationCriterion
 from ..uncertain import DecompositionTree, UncertainDatabase, UncertainObject
 from ..uncertain.decomposition import AxisPolicy, csr_partitions_batch
 from .domination import complete_domination_filter
-from .kernels import pdom_bounds_csr, resolve_backend
+from .kernels import pdom_bounds_csr
 from .domination_count import (
     DominationCountBounds,
     combine_weighted_bounds_arrays,
@@ -64,11 +64,8 @@ class IterationStats:
     this iteration: columns served from / missed in / published to the store.
     They stay zero when no store is attached — e.g. on the serial path.
 
-    ``kernel_backend`` names the pair-bounds kernel backend the iteration
-    resolved to (``"numpy"`` or ``"numba"``); ``kernel_seconds`` is the
-    wall-clock spent inside the CSR kernel itself, zero when every candidate
-    column was served from the memo.  Backends are bit-identical, so these
-    fields only attribute time — they never explain a result difference.
+    ``kernel_seconds`` is the wall-clock spent inside the CSR kernel itself,
+    zero when every candidate column was served from the memo.
     """
 
     iteration: int
@@ -80,7 +77,6 @@ class IterationStats:
     shared_hits: int = 0
     shared_misses: int = 0
     shared_publishes: int = 0
-    kernel_backend: str = ""
     kernel_seconds: float = 0.0
 
 
@@ -181,15 +177,7 @@ class IDCA:
         every (target partition, reference partition) pair, so a hit skips an
         entire kernel column instead of a single scalar.  Entries are
         deterministic functions of their key, so sharing never changes
-        results.  The key deliberately excludes the kernel backend: backends
-        are bit-identical by construction, so columns computed under one
-        backend are valid under every other.
-    kernel_backend:
-        Pair-bounds kernel backend: ``"numpy"``, ``"numba"`` or ``None`` to
-        resolve through the fallback ladder (``REPRO_KERNEL_BACKEND``
-        environment variable, then the best available backend).  The
-        *request* is stored and re-resolved at every use, so a pickled IDCA
-        resolves against whatever is importable in the receiving worker.
+        results.
     """
 
     def __init__(
@@ -206,18 +194,15 @@ class IDCA:
         adaptive_width_threshold: float = 0.01,
         tree_cache: Optional[dict] = None,
         pair_bounds_cache: Optional[dict] = None,
-        kernel_backend: Optional[str] = None,
     ):
+        if not p >= 1:  # written so that NaN fails too
+            raise ValueError(f"Lp norms require p >= 1, got {p}")
         if max_target_depth < 0 or max_reference_depth < 0:
             raise ValueError("decomposition depth caps must be non-negative")
         if max_candidate_depth is not None and max_candidate_depth < 1:
             raise ValueError("max_candidate_depth must be at least 1")
         if adaptive_width_threshold < 0:
             raise ValueError("adaptive_width_threshold must be non-negative")
-        # validate the name eagerly but store the request: resolution happens
-        # per use, so pickled instances re-resolve in the receiving worker
-        resolve_backend(kernel_backend)
-        self.kernel_backend = kernel_backend
         self.database = database
         self.p = p
         self.criterion = criterion
@@ -539,7 +524,6 @@ class IDCARun:
         else:
             missing = list(range(num_candidates))
 
-        kernel_backend = resolve_backend(idca.kernel_backend)
         kernel_seconds = 0.0
         if missing:
             # one batched kernel call covers every uncached candidate column;
@@ -559,7 +543,6 @@ class IDCARun:
                 reference_regions,
                 p=idca.p,
                 criterion=idca.criterion,
-                backend=kernel_backend,
             )
             kernel_seconds = time.perf_counter() - kernel_start
             lower_matrix[:, missing] = fresh_lower
@@ -610,7 +593,6 @@ class IDCARun:
                 shared_misses=getattr(cache, "shared_misses", 0) - shared_before[1],
                 shared_publishes=getattr(cache, "shared_publishes", 0)
                 - shared_before[2],
-                kernel_backend=kernel_backend,
                 kernel_seconds=kernel_seconds,
             )
         )

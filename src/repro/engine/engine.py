@@ -83,14 +83,6 @@ class QueryEngine:
         Refinement scheduler; the default drains every candidate's budget,
         most-uncertain first.  Pass one with ``global_iteration_budget`` to
         cap the total refinement effort per query.
-    kernel_backend:
-        Pair-bounds kernel backend for every IDCA instance this engine
-        creates: ``"numpy"``, ``"numba"`` or ``None`` (default) to resolve
-        through the fallback ladder (``REPRO_KERNEL_BACKEND``, then the best
-        available backend).  The request — not the resolution — is stored,
-        so a pickled engine re-resolves in each worker against whatever is
-        importable there.  Backends are bit-identical by construction; this
-        only selects the implementation, never the results.
     """
 
     def __init__(
@@ -103,15 +95,12 @@ class QueryEngine:
         context: Optional[RefinementContext] = None,
         scheduler: Optional[RefinementScheduler] = None,
         axis_policy: AxisPolicy = "round_robin",
-        kernel_backend: Optional[str] = None,
     ):
-        from ..core.kernels import resolve_backend
-
-        resolve_backend(kernel_backend)  # eager name validation only
+        if not p >= 1:  # written so that NaN fails too
+            raise ValueError(f"Lp norms require p >= 1, got {p}")
         self.database = database
         self.p = p
         self.criterion = criterion
-        self.kernel_backend = kernel_backend
         self.candidate_source = candidate_source or make_candidate_source(database, rtree)
         self.context = context or RefinementContext(database, axis_policy=axis_policy)
         self.scheduler = scheduler or RefinementScheduler()
@@ -155,9 +144,7 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     def _threshold_idca(self, idca: Optional[IDCA], k: int) -> IDCA:
         if idca is None:
-            return self.context.idca_for(
-                self.p, self.criterion, k_cap=k, kernel_backend=self.kernel_backend
-            )
+            return self.context.idca_for(self.p, self.criterion, k_cap=k)
         if idca.k_cap is not None and idca.k_cap < k:
             raise ValueError("the supplied IDCA instance truncates below the requested k")
         return idca
@@ -378,9 +365,7 @@ class QueryEngine:
         exclude: set[int] = set()
         query_obj = resolve_object(self.database, query, exclude)
         if idca is None:
-            idca = self.context.idca_for(
-                self.p, self.criterion, kernel_backend=self.kernel_backend
-            )
+            idca = self.context.idca_for(self.p, self.criterion)
         if idca.k_cap is not None:
             raise ValueError("expected-rank ranking requires an untruncated IDCA instance")
         if candidate_indices is None:
@@ -438,9 +423,7 @@ class QueryEngine:
         target_obj = resolve_object(self.database, target, exclude)
         reference_obj = resolve_object(self.database, reference, exclude)
         if idca is None:
-            idca = self.context.idca_for(
-                self.p, self.criterion, kernel_backend=self.kernel_backend
-            )
+            idca = self.context.idca_for(self.p, self.criterion)
         if stop is None and uncertainty_budget is not None:
             stop = UncertaintyBelow(uncertainty_budget)
         run = idca.domination_count(
@@ -468,9 +451,7 @@ class QueryEngine:
     ) -> IDCAResult:
         """Raw IDCA domination count through the shared context."""
         if idca is None:
-            idca = self.context.idca_for(
-                self.p, self.criterion, k_cap=k_cap, kernel_backend=self.kernel_backend
-            )
+            idca = self.context.idca_for(self.p, self.criterion, k_cap=k_cap)
         return idca.domination_count(
             target,
             reference,
@@ -508,14 +489,6 @@ class QueryEngine:
         removes recomputation, and per-query budgets make them independent
         of worker count and chunking.  :attr:`last_batch_report` holds the
         merged :class:`~repro.engine.executor.BatchReport` of the call.
-
-        ``ExecutorConfig.kernel_backend``, when set, overrides this engine's
-        kernel backend for the duration of the batch (serial path and
-        per-batch pools, whose workers pickle the engine per batch).  A
-        persistent :class:`~repro.engine.service.QueryService` pickled its
-        engine at construction, so the override cannot reach its workers —
-        configure the service's engine or ``REPRO_KERNEL_BACKEND`` instead.
-        Backends are bit-identical, so the override never changes results.
         """
         from .service import QueryService
 
@@ -532,18 +505,11 @@ class QueryEngine:
             results = handle.result()
             self.last_batch_report = handle.report()
             return results
-        override = executor.kernel_backend if executor is not None else None
-        saved = self.kernel_backend
-        if override is not None:
-            self.kernel_backend = override
-        try:
-            if executor is not None and executor.resolve_mode(len(requests)) == "process":
-                results, report = run_process_batch(self, requests, executor)
-                self.last_batch_report = report
-                return results
-            return self._evaluate_serial(requests, executor)
-        finally:
-            self.kernel_backend = saved
+        if executor is not None and executor.resolve_mode(len(requests)) == "process":
+            results, report = run_process_batch(self, requests, executor)
+            self.last_batch_report = report
+            return results
+        return self._evaluate_serial(requests, executor)
 
     def _evaluate_serial(
         self, requests: Sequence[QueryRequest], executor: Optional[ExecutorConfig]

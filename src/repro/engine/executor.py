@@ -200,17 +200,6 @@ class ExecutorConfig:
         platform supports it; ``True`` requires it (construction raises when
         unavailable); ``False`` forces purely process-local memoisation.
         Ignored by the per-batch pool path, whose caches die with the batch.
-    kernel_backend:
-        Pair-bounds kernel backend for the batch: ``"numpy"``, ``"numba"``
-        or ``None`` (default) to keep the engine's own setting (which itself
-        resolves through ``REPRO_KERNEL_BACKEND`` and availability).  The
-        override is applied to the engine for the duration of the batch, so
-        it reaches the serial path and per-batch worker pools (whose engine
-        is pickled per batch).  It cannot reach the already-running workers
-        of a persistent :class:`~repro.engine.service.QueryService`, whose
-        engine was pickled at service construction — configure the service's
-        engine (or the environment variable) instead.  Backends are
-        bit-identical, so this knob only ever changes speed.
     """
 
     mode: ExecutionMode = "auto"
@@ -219,22 +208,12 @@ class ExecutorConfig:
     chunking: ChunkingStrategy = "affinity"
     start_method: Optional[str] = None
     shared_bounds: Optional[bool] = None
-    kernel_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("auto", "serial", "process"):
             raise ValueError(f"unknown execution mode {self.mode!r}")
         if self.chunking not in ("affinity", "contiguous"):
             raise ValueError(f"unknown chunking strategy {self.chunking!r}")
-        if self.kernel_backend is not None:
-            from ..core.kernels import KERNEL_BACKENDS
-
-            # name check only: availability is resolved where the batch runs
-            if self.kernel_backend not in KERNEL_BACKENDS:
-                raise ValueError(
-                    f"unknown kernel backend {self.kernel_backend!r}; "
-                    f"expected one of {KERNEL_BACKENDS}"
-                )
         if self.workers is not None:
             if not isinstance(self.workers, int) or isinstance(self.workers, bool):
                 raise ValueError(f"workers must be an integer, got {self.workers!r}")
@@ -282,8 +261,7 @@ class ChunkStats:
     ``shared_misses`` store lookups that fell through to computation, and
     ``shared_publishes`` freshly computed columns this worker published.
 
-    ``kernel_backend`` is the pair-bounds backend the chunk's engine resolves
-    to and ``kernel_seconds`` the wall-clock its worker spent inside the CSR
+    ``kernel_seconds`` is the wall-clock the worker spent inside the CSR
     kernel during the chunk (a delta of the process-local counters in
     ``repro/core/kernels.py``), so batch time can be attributed to the
     kernel layer without reaching into refinement state.
@@ -317,7 +295,6 @@ class ChunkStats:
     shared_hits: int = 0
     shared_misses: int = 0
     shared_publishes: int = 0
-    kernel_backend: str = ""
     kernel_seconds: float = 0.0
     shared_corruptions: int = 0
     shared_degraded: int = 0
@@ -477,17 +454,6 @@ class BatchReport:
         return sum(stats.kernel_seconds for stats in self.chunks)
 
     @property
-    def kernel_backend(self) -> str:
-        """Pair-bounds backend(s) the chunks resolved to.
-
-        A single name in the common case; chunks that resolved differently
-        (e.g. numba importable in some workers only) are joined with ``+``.
-        Backends are bit-identical, so a mixed batch is still deterministic.
-        """
-        names = sorted({stats.kernel_backend for stats in self.chunks if stats.kernel_backend})
-        return "+".join(names)
-
-    @property
     def shared_hit_rate(self) -> float:
         """Fraction of local-cache misses the shared store absorbed.
 
@@ -574,7 +540,6 @@ class BatchReport:
             "worker_respawns": self.worker_respawns,
             "chunk_retries": self.chunk_retries,
             "completed_requests": self.completed_requests,
-            "kernel_backend": self.kernel_backend,
             "kernel_seconds": self.kernel_seconds,
             "kinds": self.kinds,
             "chunk_sizes": [stats.size for stats in self.chunks],
@@ -877,7 +842,7 @@ def run_chunk_on_engine(
     :meth:`RefinementScheduler.refine`) cuts *inside* a request; this one
     cuts between requests, so an expired chunk never starts new work.
     """
-    from ..core.kernels import resolve_backend, total_kernel_seconds
+    from ..core.kernels import total_kernel_seconds
 
     before = engine.context.stats()
     steps_before = engine.scheduler.steps_taken
@@ -910,7 +875,6 @@ def run_chunk_on_engine(
         shared_misses=after.get("shared_misses", 0) - before.get("shared_misses", 0),
         shared_publishes=after.get("shared_publishes", 0)
         - before.get("shared_publishes", 0),
-        kernel_backend=resolve_backend(getattr(engine, "kernel_backend", None)),
         kernel_seconds=total_kernel_seconds() - kernel_before,
         shared_corruptions=after.get("shared_corruptions", 0)
         - before.get("shared_corruptions", 0),

@@ -294,3 +294,22 @@ class TestQueryEngine:
             engine.knn(reference, k=3, tau=0.5, idca=truncated)
         with pytest.raises(ValueError):
             engine.ranking(reference, idca=truncated)
+
+
+class TestNormParameter:
+    """``p`` is checked once at construction; NaN must not slip through."""
+
+    @pytest.mark.parametrize("p", [float("nan"), 0.5, 0.0, -2.0])
+    def test_invalid_p_rejected_at_construction(self, p):
+        database = uniform_rectangle_database(30, max_extent=0.05, seed=1)
+        with pytest.raises(ValueError, match="p >= 1"):
+            QueryEngine(database, p=p)
+        with pytest.raises(ValueError, match="p >= 1"):
+            IDCA(database, p=p)
+
+    def test_infinite_p_still_answers_range_queries(self):
+        database = uniform_rectangle_database(30, max_extent=0.05, seed=1)
+        query = random_reference_object(extent=0.02, seed=2)
+        IDCA(database, p=float("inf"))
+        result = QueryEngine(database, p=float("inf")).range(query, 0.2, 0.5)
+        assert result.candidate_count() > 0

@@ -1,12 +1,9 @@
-"""Kernel backend ladder, CSR batch cache, and engine-level backend parity.
+"""Plumbing around the pair-bounds kernel.
 
 Complements ``tests/test_pdom_batch.py`` (numerical parity of the kernel
-implementations) with the plumbing around them: backend resolution and
-fallback (explicit argument > ``REPRO_KERNEL_BACKEND`` > availability),
-``csr_partitions_batch`` construction and its per-depth-set cache, the
-kernel timing counters surfaced in ``IterationStats`` / ``BatchReport``,
-and bit-identical engine results across backends × worker counts × shared
-bounds store on/off.
+with the scalar oracle): the environment metadata benchmark reports read,
+``csr_partitions_batch`` construction and its per-depth-set cache, and the
+kernel timing counter surfaced in ``IterationStats`` / ``BatchReport``.
 """
 
 from __future__ import annotations
@@ -15,16 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core import IDCA, MaxIterations
-from repro.core import kernels as kernels_module
 from repro.core.kernels import (
-    KERNEL_BACKENDS,
-    available_backends,
-    default_backend,
     kernel_environment,
     kernel_stats,
-    numba_available,
     pdom_bounds_csr,
-    resolve_backend,
     total_kernel_seconds,
 )
 from repro.datasets import random_reference_object, uniform_rectangle_database
@@ -35,8 +26,6 @@ from repro.engine import (
     QueryEngine,
     RankingQuery,
 )
-from repro.engine.boundstore import bound_store_available
-from repro.engine.service import QueryService
 from repro.uncertain import (
     DecompositionTree,
     clear_csr_cache,
@@ -64,100 +53,17 @@ def requests(reference):
     ]
 
 
-def _snapshot(results) -> list:
-    snap = []
-    for result in results:
-        if hasattr(result, "matches"):
-            snap.append(
-                [
-                    (m.index, m.probability_lower, m.probability_upper,
-                     m.decision, m.iterations, m.sequence)
-                    for bucket in (result.matches, result.undecided, result.rejected)
-                    for m in bucket
-                ]
-            )
-        elif hasattr(result, "ranking"):
-            snap.append(
-                [
-                    (e.index, e.expected_rank_lower, e.expected_rank_upper, e.iterations)
-                    for e in result.ranking
-                ]
-            )
-        else:
-            snap.append((list(map(float, result.lower)), list(map(float, result.upper))))
-    return snap
-
-
-# --------------------------------------------------------------------- #
-# backend resolution ladder
-# --------------------------------------------------------------------- #
 class TestBackendResolution:
-    def test_explicit_numpy_always_resolves(self):
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_numba_request_degrades_gracefully(self):
-        resolved = resolve_backend("numba")
-        if numba_available():
-            assert resolved == "numba"
-        else:
-            assert resolved == "numpy"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("mkl")
-
-    def test_default_prefers_numba_when_available(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        expected = "numba" if numba_available() else "numpy"
-        assert default_backend() == expected
-        assert resolve_backend(None) == expected
-
-    def test_env_variable_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        assert resolve_backend(None) == "numpy"
-        assert default_backend() == "numpy"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        if numba_available():
-            assert resolve_backend("numba") == "numba"
-        else:
-            assert resolve_backend("numba") == "numpy"
-
-    def test_unknown_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cuda")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend(None)
-
-    def test_empty_env_value_means_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "")
-        assert resolve_backend(None) in KERNEL_BACKENDS
-
-    def test_available_backends_always_contains_numpy(self):
-        backends = available_backends()
-        assert "numpy" in backends
-        assert ("numba" in backends) == numba_available()
+    """One kernel implementation: the environment always reports it."""
 
     def test_kernel_environment_metadata(self):
         env = kernel_environment()
         assert env["numpy_version"] == np.__version__
         assert env["cpu_count"] >= 1
-        assert env["default_backend"] in KERNEL_BACKENDS
-        assert set(env["available_backends"]) <= set(KERNEL_BACKENDS)
-        if not numba_available():
-            assert env["numba_version"] is None
-
-    def test_executor_config_validates_backend_name(self):
-        ExecutorConfig(kernel_backend="numpy")
-        ExecutorConfig(kernel_backend="numba")  # name check only: no import
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            ExecutorConfig(kernel_backend="cython")
-
-    def test_idca_and_engine_validate_backend_name(self, database):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            IDCA(database, kernel_backend="bogus")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            QueryEngine(database, kernel_backend="bogus")
+        # fixed keys kept for benchmark reports that still read them
+        assert env["default_backend"] == "numpy"
+        assert env["numba_version"] is None
+        assert env["kernel_backend_env"] is None
 
 
 # --------------------------------------------------------------------- #
@@ -227,84 +133,29 @@ class TestKernelTiming:
         grid, _ = DecompositionTree(database[1]).partitions_arrays(1)
         before_seconds = total_kernel_seconds()
         before_calls = kernel_stats()["kernel_calls"]
-        pdom_bounds_csr(
-            batch.regions, batch.masses, batch.offsets, grid, grid, backend="numpy"
-        )
+        pdom_bounds_csr(batch.regions, batch.masses, batch.offsets, grid, grid)
         assert total_kernel_seconds() > before_seconds
         assert kernel_stats()["kernel_calls"] == before_calls + 1
-        assert kernel_stats()["per_backend_calls"]["numpy"] >= 1
+        assert kernel_stats()["kernel_seconds"] == total_kernel_seconds()
 
-    def test_iteration_stats_record_backend_and_time(self, database, reference):
-        idca = IDCA(database, kernel_backend="numpy")
+    def test_iteration_stats_record_kernel_time(self, database, reference):
+        idca = IDCA(database)
         result = idca.domination_count(
             0, reference, stop=MaxIterations(2), max_iterations=2
         )
         refined = result.iterations[1:]
         assert refined, "expected at least one refinement iteration"
         for stat in refined:
-            assert stat.kernel_backend == "numpy"
             assert 0.0 <= stat.kernel_seconds <= stat.elapsed_seconds
         # the fresh run computed at least one column in the kernel
         assert any(stat.kernel_seconds > 0.0 for stat in refined)
 
     def test_batch_report_surfaces_kernel_fields(self, database, requests):
         engine = QueryEngine(database)
+        before = total_kernel_seconds()
         engine.evaluate_many(requests, ExecutorConfig(mode="serial"))
         report = engine.last_batch_report
-        assert report.kernel_backend == resolve_backend(None)
-        assert report.kernel_seconds > 0.0
+        assert 0.0 < report.kernel_seconds <= total_kernel_seconds() - before
         payload = report.to_dict()
-        assert payload["kernel_backend"] == report.kernel_backend
         assert payload["kernel_seconds"] == report.kernel_seconds
-
-
-# --------------------------------------------------------------------- #
-# engine-level parity: backends × workers × shared bounds store
-# --------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def serial_snapshot(database, requests):
-    return _snapshot(QueryEngine(database).evaluate_many(requests))
-
-
-class TestEngineBackendParity:
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_serial_backend_override_is_bit_identical(
-        self, database, requests, serial_snapshot, backend
-    ):
-        engine = QueryEngine(database)
-        config = ExecutorConfig(mode="serial", kernel_backend=backend)
-        assert _snapshot(engine.evaluate_many(requests, config)) == serial_snapshot
-        # the per-batch override does not stick to the engine
-        assert engine.kernel_backend is None
-
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_process_pool_backend_is_bit_identical(
-        self, database, requests, serial_snapshot, workers, backend
-    ):
-        engine = QueryEngine(database, kernel_backend=backend)
-        config = ExecutorConfig(mode="process", workers=workers)
-        assert _snapshot(engine.evaluate_many(requests, config)) == serial_snapshot
-        report = engine.last_batch_report
-        assert report.kernel_backend == resolve_backend(backend)
-
-    @pytest.mark.parametrize("shared_bounds", [False, True])
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_service_backends_shared_bounds_matrix(
-        self, database, requests, serial_snapshot, workers, shared_bounds
-    ):
-        if shared_bounds and not bound_store_available():
-            pytest.skip("shared bounds store unavailable on this platform")
-        engine = QueryEngine(database, kernel_backend="numpy")
-        config = ExecutorConfig(workers=workers, shared_bounds=shared_bounds)
-        with QueryService(engine, config) as service:
-            assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-            assert _snapshot(service.evaluate_many(requests)) == serial_snapshot
-
-    def test_forced_numpy_env_is_bit_identical(
-        self, database, requests, serial_snapshot, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        engine = QueryEngine(database)
-        assert _snapshot(engine.evaluate_many(requests)) == serial_snapshot
-        assert engine.last_batch_report.kernel_backend == "numpy"
+        assert "kernel_backend" not in payload

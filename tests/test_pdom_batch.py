@@ -1,11 +1,10 @@
 """Tests for the batched pair-bounds kernel layer.
 
-Covers the broadcasting edge cases of ``domination_bulk`` /
-``pdom_bounds_batch`` (zero-mass padding, degenerate rectangles, ``p = 1``
-and ``p = inf``), the padded stacked representation served by
-``DecompositionTree.partitions_arrays``, the batched UGF / domination-count
-aggregation, and a property test asserting the batch results equal the
-scalar reference loop.
+Covers the broadcasting edge cases of ``domination_bulk`` (degenerate
+rectangles, ``p = 1`` and ``p = inf``), the CSR kernel ``pdom_bounds_csr``
+against the scalar oracle ``pdom_bounds_from_partitions`` (bit for bit on
+dyadic masses, to re-association on discrete ones), its input and grid
+validation, and the batched UGF / domination-count aggregation.
 """
 
 import math
@@ -20,12 +19,11 @@ from repro.core import (
     combine_weighted_bounds_arrays,
     domination_count_bounds,
     domination_count_bounds_batch,
-    pdom_bounds_batch,
     pdom_bounds_from_partitions,
     ugf_pmf_bounds_batch,
 )
 from repro.core.generating_functions import UncertainGeneratingFunction
-from repro.core.kernels import _pdom_csr_numba, _pdom_csr_numpy, pdom_bounds_csr
+from repro.core.kernels import pdom_bounds_csr
 from repro.datasets import (
     discrete_sample_database,
     random_reference_object,
@@ -105,183 +103,36 @@ class TestDominationBulkBroadcasting:
             domination_bulk(a, a[0], a[1], p=math.inf)
 
 
-class TestPaddedPartitionsArrays:
-    def test_padding_rows_have_zero_mass(self):
-        database = uniform_rectangle_database(3, max_extent=0.1, seed=3)
-        tree = DecompositionTree(database[0])
-        regions, masses = tree.partitions_arrays(2)
-        padded_regions, padded_masses = tree.partitions_arrays(2, pad_to=11)
-        k = masses.shape[0]
-        assert padded_regions.shape == (11, regions.shape[1], 2)
-        assert np.array_equal(padded_regions[:k], regions)
-        assert np.array_equal(padded_masses[:k], masses)
-        assert np.all(padded_masses[k:] == 0.0)
-        assert np.all(padded_regions[k:] == 0.0)
-
-    def test_padded_variant_built_fresh_from_cached_base(self):
-        """Pad widths vary per batch, so only the base arrays are cached."""
-        database = uniform_rectangle_database(3, max_extent=0.1, seed=3)
-        tree = DecompositionTree(database[0])
-        base_first = tree.partitions_arrays(1)
-        base_second = tree.partitions_arrays(1)
-        assert base_first[0] is base_second[0] and base_first[1] is base_second[1]
-        first = tree.partitions_arrays(1, pad_to=7)
-        second = tree.partitions_arrays(1, pad_to=7)
-        assert first[0] is not second[0]
-        assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
-
-    def test_pad_to_too_small_raises(self):
-        database = uniform_rectangle_database(3, max_extent=0.1, seed=3)
-        tree = DecompositionTree(database[0])
-        with pytest.raises(ValueError):
-            tree.partitions_arrays(3, pad_to=1)
-
-
 class TestPdomBoundsBatch:
-    def test_zero_mass_padding_cannot_change_bounds(self):
-        """Padded and unpadded batches agree column-for-column exactly."""
-        database = uniform_rectangle_database(6, max_extent=0.08, seed=4)
-        trees = [DecompositionTree(obj) for obj in database]
-        target = DecompositionTree(random_reference_object(extent=0.08, seed=5))
-        target_regions, _ = target.partitions_arrays(1)
-        reference_regions, _ = target.partitions_arrays(0)
-        parts = [tree.partitions_arrays(3) for tree in trees]
-        counts = np.array([m.shape[0] for _, m in parts])
-        tight = int(counts.max())
-        for pad_to in (tight, tight + 9):
-            stacked_regions = np.stack(
-                [t.partitions_arrays(3, pad_to=pad_to)[0] for t in trees]
-            )
-            stacked_masses = np.stack(
-                [t.partitions_arrays(3, pad_to=pad_to)[1] for t in trees]
-            )
-            lower, upper = pdom_bounds_batch(
-                stacked_regions,
-                stacked_masses,
-                target_regions,
-                reference_regions,
-                partition_counts=counts,
-            )
-            if pad_to == tight:
-                base = (lower, upper)
-        assert np.array_equal(base[0], lower)
-        assert np.array_equal(base[1], upper)
-
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("criterion", ["optimal", "minmax"])
     def test_property_batch_equals_scalar_loop(self, p, criterion):
-        """The batched kernel reproduces the scalar triple loop."""
+        """The CSR kernel reproduces the scalar triple loop bit for bit.
+
+        On the uniform objects' kd-split masses (dyadic up to rounding) the
+        kernel's left fold equals the oracle's ``np.sum`` exactly; mixed
+        adaptive depths exercise ragged segments.
+        """
         database = uniform_rectangle_database(12, max_extent=0.06, seed=6)
         trees = [DecompositionTree(obj) for obj in database]
         target = DecompositionTree(random_reference_object(extent=0.06, seed=7))
         reference = DecompositionTree(random_reference_object(extent=0.06, seed=8))
         target_regions, _ = target.partitions_arrays(2)
         reference_regions, _ = reference.partitions_arrays(1)
-        # mixed adaptive depths exercise the ragged padding
         depths = [1 + (i % 4) for i in range(len(trees))]
+        batch = csr_partitions_batch(trees, depths)
+        batch_lower, batch_upper = pdom_bounds_csr(
+            batch.regions, batch.masses, batch.offsets,
+            target_regions, reference_regions, p=p, criterion=criterion,
+        )
         parts = [tree.partitions_arrays(d) for tree, d in zip(trees, depths)]
-        counts = np.array([m.shape[0] for _, m in parts])
-        pad_to = int(counts.max())
-        stacked_regions = np.stack(
-            [t.partitions_arrays(d, pad_to=pad_to)[0] for t, d in zip(trees, depths)]
-        )
-        stacked_masses = np.stack(
-            [t.partitions_arrays(d, pad_to=pad_to)[1] for t, d in zip(trees, depths)]
-        )
-        batch_lower, batch_upper = pdom_bounds_batch(
-            stacked_regions,
-            stacked_masses,
-            target_regions,
-            reference_regions,
-            p=p,
-            criterion=criterion,
-            partition_counts=counts,
-        )
         scalar_lower, scalar_upper = _scalar_reference(
             parts, target_regions, reference_regions, p=p, criterion=criterion
         )
-        # summation re-association may differ by ULPs, nothing more
-        np.testing.assert_allclose(batch_lower, scalar_lower, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(batch_upper, scalar_upper, rtol=0, atol=1e-12)
+        assert np.array_equal(batch_lower, scalar_lower)
+        assert np.array_equal(batch_upper, scalar_upper)
         assert np.all(batch_lower <= batch_upper)
         assert np.all(batch_lower >= 0.0) and np.all(batch_upper <= 1.0)
-
-    def test_discrete_objects_supported(self):
-        """Non-dyadic partition masses (discrete objects) stay consistent."""
-        database = discrete_sample_database(
-            num_objects=5, samples_per_object=7, max_extent=0.3, seed=9
-        )
-        trees = [DecompositionTree(obj) for obj in database]
-        target = DecompositionTree(database[0])
-        target_regions, _ = target.partitions_arrays(1)
-        parts = [tree.partitions_arrays(2) for tree in trees]
-        counts = np.array([m.shape[0] for _, m in parts])
-        pad_to = int(counts.max())
-        stacked_regions = np.stack(
-            [t.partitions_arrays(2, pad_to=pad_to)[0] for t in trees]
-        )
-        stacked_masses = np.stack(
-            [t.partitions_arrays(2, pad_to=pad_to)[1] for t in trees]
-        )
-        batch_lower, batch_upper = pdom_bounds_batch(
-            stacked_regions,
-            stacked_masses,
-            target_regions,
-            target_regions[:1],
-            partition_counts=counts,
-        )
-        scalar_lower, scalar_upper = _scalar_reference(
-            parts, target_regions, target_regions[:1]
-        )
-        np.testing.assert_allclose(batch_lower, scalar_lower, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(batch_upper, scalar_upper, rtol=0, atol=1e-12)
-
-    def test_p_inf_raises(self):
-        database = uniform_rectangle_database(2, max_extent=0.1, seed=10)
-        tree = DecompositionTree(database[0])
-        regions, masses = tree.partitions_arrays(1, pad_to=2)
-        with pytest.raises(ValueError):
-            pdom_bounds_batch(
-                regions[None],
-                masses[None],
-                regions[:1],
-                regions[:1],
-                p=math.inf,
-            )
-
-    def test_empty_candidate_batch(self):
-        lower, upper = pdom_bounds_batch(
-            np.empty((0, 1, 2, 2)),
-            np.empty((0, 1)),
-            np.zeros((2, 2, 2)),
-            np.zeros((3, 2, 2)),
-        )
-        assert lower.shape == (6, 0) and upper.shape == (6, 0)
-
-    def test_bad_partition_counts_raise(self):
-        regions = np.zeros((2, 3, 2, 2))
-        masses = np.zeros((2, 3))
-        grid = np.zeros((1, 2, 2))
-        with pytest.raises(ValueError):
-            pdom_bounds_batch(regions, masses, grid, grid, partition_counts=np.array([-1, 3]))
-        with pytest.raises(ValueError):
-            pdom_bounds_batch(regions, masses, grid, grid, partition_counts=np.array([4, 3]))
-
-    def test_zero_partition_candidate_gets_scalar_bounds(self):
-        """A massless candidate yields (0, 0) exactly like the scalar path."""
-        rng = np.random.default_rng(20)
-        regions = _random_rects(rng, (2, 3))
-        masses = np.array([[0.25, 0.25, 0.5], [0.0, 0.0, 0.0]])
-        grid = _random_rects(rng, (2,))
-        lower, upper = pdom_bounds_batch(
-            regions, masses, grid, grid[:1], partition_counts=np.array([3, 0])
-        )
-        assert np.all(lower[:, 1] == 0.0) and np.all(upper[:, 1] == 0.0)
-        scalar = _scalar_reference(
-            [(regions[0], masses[0]), (regions[1][:0], masses[1][:0])], grid, grid[:1]
-        )
-        np.testing.assert_allclose(lower, scalar[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(upper, scalar[1], rtol=0, atol=1e-12)
 
     def test_negligible_existence_probability_influence_object(self):
         """Regression: an influence object whose decomposition has no mass
@@ -313,121 +164,25 @@ class TestPdomBoundsBatch:
         assert np.all(result.bounds.lower <= result.bounds.upper)
 
 
-def _padded_reference(trees, depths, target_regions, reference_regions, p, criterion):
-    """Bounds via the legacy padded-dense kernel for the same candidate set."""
-    parts = [t.partitions_arrays(d) for t, d in zip(trees, depths)]
-    counts = np.array([m.shape[0] for _, m in parts])
-    pad_to = int(counts.max())
-    stacked_regions = np.stack(
-        [t.partitions_arrays(d, pad_to=pad_to)[0] for t, d in zip(trees, depths)]
-    )
-    stacked_masses = np.stack(
-        [t.partitions_arrays(d, pad_to=pad_to)[1] for t, d in zip(trees, depths)]
-    )
-    return pdom_bounds_batch(
-        stacked_regions,
-        stacked_masses,
-        target_regions,
-        reference_regions,
-        p=p,
-        criterion=criterion,
-        partition_counts=counts,
-    )
-
-
 class TestCSRKernelParity:
-    """The four pair-bounds paths must agree: numpy-CSR ≡ numba-CSR bitwise
-    always, and all of them ≡ the legacy padded kernel and the scalar
-    reference bit-for-bit on dyadic (uniform-database) masses.
-
-    ``_pdom_csr_numba`` is exercised directly: without numba installed its
-    kernel body runs as plain Python, so this suite checks the *arithmetic*
-    of the fused kernel on both CI legs (with and without numba), not just
-    the dispatcher's fallback.
-    """
-
-    def _uniform_fixture(self, seed=21, num=10):
-        database = uniform_rectangle_database(num, max_extent=0.06, seed=seed)
-        trees = [DecompositionTree(obj) for obj in database]
-        depths = [1 + (i % 4) for i in range(len(trees))]
-        target = DecompositionTree(random_reference_object(extent=0.06, seed=seed + 1))
-        reference = DecompositionTree(random_reference_object(extent=0.06, seed=seed + 2))
-        target_regions, _ = target.partitions_arrays(2)
-        reference_regions, _ = reference.partitions_arrays(1)
-        return trees, depths, target_regions, reference_regions
-
-    def _discrete_fixture(self, seed=23):
-        database = discrete_sample_database(
-            num_objects=6, samples_per_object=7, max_extent=0.3, seed=seed
-        )
-        trees = [DecompositionTree(obj) for obj in database]
-        depths = [1 + (i % 4) for i in range(len(trees))]
-        target = DecompositionTree(database[0])
-        target_regions, _ = target.partitions_arrays(1)
-        return trees, depths, target_regions, target_regions[:1]
-
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    @pytest.mark.parametrize("criterion", ["optimal", "minmax"])
-    def test_csr_backends_bit_identical(self, p, criterion):
-        """numpy-CSR and the fused numba kernel agree bit-for-bit, always —
-        including on non-dyadic (discrete) masses, where the shared strict
-        sequential fold is what makes the agreement exact."""
-        for fixture in (self._uniform_fixture, self._discrete_fixture):
-            trees, depths, target_regions, reference_regions = fixture()
-            batch = csr_partitions_batch(trees, depths)
-            lower_np, upper_np = _pdom_csr_numpy(
-                batch.regions, batch.masses, batch.offsets,
-                target_regions, reference_regions, p, criterion,
-            )
-            lower_nb, upper_nb = _pdom_csr_numba(
-                batch.regions, batch.masses, batch.offsets,
-                target_regions, reference_regions, p, criterion,
-            )
-            assert np.array_equal(lower_np, lower_nb)
-            assert np.array_equal(upper_np, upper_nb)
-
-    @pytest.mark.parametrize("p", [1.0, 2.0])
-    @pytest.mark.parametrize("criterion", ["optimal", "minmax"])
-    def test_all_four_paths_agree_on_uniform(self, p, criterion):
-        """CSR (both backends) and the scalar loop all accumulate masses via
-        the same strict left-to-right fold, so they agree bit-for-bit.  The
-        legacy padded kernel goes through ``np.sum``'s pairwise blocking,
-        which re-associates once a candidate holds eight or more partitions —
-        it matches the fold only to within a few ulp."""
-        trees, depths, target_regions, reference_regions = self._uniform_fixture()
-        batch = csr_partitions_batch(trees, depths)
-        lower_np, upper_np = _pdom_csr_numpy(
-            batch.regions, batch.masses, batch.offsets,
-            target_regions, reference_regions, p, criterion,
-        )
-        lower_nb, upper_nb = _pdom_csr_numba(
-            batch.regions, batch.masses, batch.offsets,
-            target_regions, reference_regions, p, criterion,
-        )
-        lower_pad, upper_pad = _padded_reference(
-            trees, depths, target_regions, reference_regions, p, criterion
-        )
-        parts = [t.partitions_arrays(d) for t, d in zip(trees, depths)]
-        lower_ref, upper_ref = _scalar_reference(
-            parts, target_regions, reference_regions, p=p, criterion=criterion
-        )
-        for lower, upper in ((lower_nb, upper_nb), (lower_ref, upper_ref)):
-            assert np.array_equal(lower_np, lower)
-            assert np.array_equal(upper_np, upper)
-        np.testing.assert_allclose(lower_pad, lower_np, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(upper_pad, upper_np, rtol=0.0, atol=1e-12)
+    """CSR kernel edge cases against the scalar oracle."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("criterion", ["optimal", "minmax"])
     def test_csr_matches_scalar_on_discrete(self, p, criterion):
         """On non-dyadic masses the fold order differs from np.sum's pairwise
-        blocking, so CSR vs padded/scalar is exact only to re-association."""
-        trees, depths, target_regions, reference_regions = self._discrete_fixture()
+        blocking, so CSR vs scalar is exact only to re-association."""
+        database = discrete_sample_database(
+            num_objects=6, samples_per_object=7, max_extent=0.3, seed=23
+        )
+        trees = [DecompositionTree(obj) for obj in database]
+        depths = [1 + (i % 4) for i in range(len(trees))]
+        target_regions, _ = trees[0].partitions_arrays(1)
+        reference_regions = target_regions[:1]
         batch = csr_partitions_batch(trees, depths)
         lower, upper = pdom_bounds_csr(
             batch.regions, batch.masses, batch.offsets,
             target_regions, reference_regions, p=p, criterion=criterion,
-            backend="numpy",
         )
         parts = [t.partitions_arrays(d) for t, d in zip(trees, depths)]
         lower_ref, upper_ref = _scalar_reference(
@@ -435,11 +190,46 @@ class TestCSRKernelParity:
         )
         np.testing.assert_allclose(lower, lower_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(upper, upper_ref, rtol=0, atol=1e-12)
-        lower_pad, upper_pad = _padded_reference(
-            trees, depths, target_regions, reference_regions, p, criterion
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("criterion", ["optimal", "minmax"])
+    def test_all_four_paths_agree_on_uniform(self, p, criterion):
+        """The remaining pair-bounds paths agree bit for bit on uniform masses:
+        the CSR kernel over the whole batch, the CSR kernel one candidate
+        segment at a time, and the scalar loop.  (Of the original four paths,
+        the numba-CSR and padded kernels no longer exist.)  All of them fold
+        masses strictly left to right, so segment boundaries cannot change a
+        candidate's sums."""
+        database = uniform_rectangle_database(10, max_extent=0.06, seed=21)
+        trees = [DecompositionTree(obj) for obj in database]
+        depths = [1 + (i % 4) for i in range(len(trees))]
+        target = DecompositionTree(random_reference_object(extent=0.06, seed=22))
+        reference = DecompositionTree(random_reference_object(extent=0.06, seed=23))
+        target_regions, _ = target.partitions_arrays(2)
+        reference_regions, _ = reference.partitions_arrays(1)
+        batch = csr_partitions_batch(trees, depths)
+        lower, upper = pdom_bounds_csr(
+            batch.regions, batch.masses, batch.offsets,
+            target_regions, reference_regions, p=p, criterion=criterion,
         )
-        np.testing.assert_allclose(lower, lower_pad, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(upper, upper_pad, rtol=0, atol=1e-12)
+        single = [
+            pdom_bounds_csr(
+                single_batch.regions, single_batch.masses, single_batch.offsets,
+                target_regions, reference_regions, p=p, criterion=criterion,
+            )
+            for single_batch in (
+                csr_partitions_batch([tree], [depth]) for tree, depth in zip(trees, depths)
+            )
+        ]
+        lower_single = np.concatenate([pair[0] for pair in single], axis=1)
+        upper_single = np.concatenate([pair[1] for pair in single], axis=1)
+        parts = [t.partitions_arrays(d) for t, d in zip(trees, depths)]
+        lower_ref, upper_ref = _scalar_reference(
+            parts, target_regions, reference_regions, p=p, criterion=criterion
+        )
+        for other_lower, other_upper in ((lower_single, upper_single), (lower_ref, upper_ref)):
+            assert np.array_equal(lower, other_lower)
+            assert np.array_equal(upper, other_upper)
 
     def test_zero_partition_candidate_gets_scalar_bounds(self):
         """An empty CSR segment yields the (0, 0) bounds of the scalar path."""
@@ -448,14 +238,13 @@ class TestCSRKernelParity:
         masses = np.array([0.25, 0.25, 0.5])
         offsets = np.array([0, 3, 3], dtype=np.int64)  # candidate 1 is empty
         grid = _random_rects(rng, (2,))
-        for impl in (_pdom_csr_numpy, _pdom_csr_numba):
-            lower, upper = impl(regions, masses, offsets, grid, grid[:1], 2.0, "optimal")
-            assert np.all(lower[:, 1] == 0.0) and np.all(upper[:, 1] == 0.0)
-            scalar = _scalar_reference(
-                [(regions, masses), (regions[:0], masses[:0])], grid, grid[:1]
-            )
-            assert np.array_equal(lower, scalar[0])
-            assert np.array_equal(upper, scalar[1])
+        lower, upper = pdom_bounds_csr(regions, masses, offsets, grid, grid[:1])
+        assert np.all(lower[:, 1] == 0.0) and np.all(upper[:, 1] == 0.0)
+        scalar = _scalar_reference(
+            [(regions, masses), (regions[:0], masses[:0])], grid, grid[:1]
+        )
+        assert np.array_equal(lower, scalar[0])
+        assert np.array_equal(upper, scalar[1])
 
     def test_empty_candidate_batch(self):
         batch = csr_partitions_batch([], [])
@@ -476,6 +265,8 @@ class TestCSRKernelParity:
             pdom_bounds_csr(regions, masses, offsets, grid, grid, p=math.inf)
         with pytest.raises(ValueError):
             pdom_bounds_csr(regions, masses, offsets, grid, grid, p=0.5)
+        with pytest.raises(ValueError):
+            pdom_bounds_csr(regions, masses, offsets, grid, grid, p=math.nan)
         with pytest.raises(ValueError):
             pdom_bounds_csr(regions, masses, offsets, grid, grid, criterion="bogus")
 
@@ -498,26 +289,10 @@ class TestGridValidation:
 
     def _candidates(self):
         rng = np.random.default_rng(27)
-        regions = _random_rects(rng, (2, 3))
-        masses = np.full((2, 3), 1.0 / 3.0)
-        return regions, masses
-
-    def test_padded_kernel_rejects_transposed_grid(self):
-        regions, masses = self._candidates()
-        grid = _random_rects(rng := np.random.default_rng(28), (4,))
-        transposed = np.transpose(grid, (1, 0, 2))  # (d, n, 2)
-        with pytest.raises(ValueError):
-            pdom_bounds_batch(regions, masses, transposed, grid)
-        with pytest.raises(ValueError):
-            pdom_bounds_batch(regions, masses, grid, transposed)
-
-    def test_padded_kernel_rejects_wrong_ndim(self):
-        regions, masses = self._candidates()
-        grid = _random_rects(np.random.default_rng(29), (4,))
-        with pytest.raises(ValueError):
-            pdom_bounds_batch(regions, masses, grid[0], grid)  # (d, 2): ndim 2
-        with pytest.raises(ValueError):
-            pdom_bounds_batch(regions, masses, grid, grid[None])  # ndim 4
+        regions = _random_rects(rng, (6,))
+        masses = np.full(6, 1.0 / 3.0)
+        offsets = np.array([0, 3, 6], dtype=np.int64)
+        return regions, masses, offsets
 
     def test_csr_kernel_rejects_transposed_grid(self):
         rng = np.random.default_rng(30)
@@ -531,12 +306,20 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             pdom_bounds_csr(regions, masses, offsets, grid, transposed)
 
+    def test_csr_kernel_rejects_wrong_ndim(self):
+        regions, masses, offsets = self._candidates()
+        grid = _random_rects(np.random.default_rng(29), (4,))
+        with pytest.raises(ValueError):
+            pdom_bounds_csr(regions, masses, offsets, grid[0], grid)  # ndim 2
+        with pytest.raises(ValueError):
+            pdom_bounds_csr(regions, masses, offsets, grid, grid[None])  # ndim 4
+
     def test_dimension_mismatch_against_candidates_raises(self):
-        regions, masses = self._candidates()  # d = 2
-        grid_3d = _random_rects(np.random.default_rng(31), (4,)).repeat(1, axis=0)
+        regions, masses, offsets = self._candidates()  # d = 2
+        grid_3d = _random_rects(np.random.default_rng(31), (4,))
         grid_3d = np.concatenate([grid_3d, grid_3d[:, :1]], axis=1)  # (4, 3, 2)
         with pytest.raises(ValueError):
-            pdom_bounds_batch(regions, masses, grid_3d, grid_3d)
+            pdom_bounds_csr(regions, masses, offsets, grid_3d, grid_3d)
 
 
 class TestBatchedAggregation:
