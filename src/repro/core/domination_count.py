@@ -52,7 +52,7 @@ class DominationCountBounds:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
-        if np.any(lower > upper + 1e-9):
+        if not (lower <= upper + 1e-9).all():  # written so that NaN fails too
             raise ValueError("lower bounds must not exceed upper bounds")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -205,19 +205,30 @@ def domination_count_bounds(
         else:
             ugf_cap = min(num_influence, k_cap - complete_count)
 
-    ugf = UncertainGeneratingFunction(lower_arr, upper_arr, k_cap=ugf_cap)
-    pmf_lower, pmf_upper = ugf.pmf_bounds()
-
     lower = np.zeros(length)
-    upper = np.ones(length)
-    # counts below the complete-domination count are impossible
-    upper[:complete_count] = 0.0
-    # counts above complete_count + num_influence are impossible as well
-    upper[complete_count + num_influence + 1 :] = 0.0
+    if not lower_arr.any() and (upper_arr == 1.0).all():
+        # Every influence object may or may not dominate (iteration 0 of
+        # IDCA): the expansion puts all mass on c[0, n], so the count can be
+        # anything in [complete_count, complete_count + n] and is certain
+        # only without influence objects.  These are exactly the bounds the
+        # UGF yields, without expanding it.
+        upper = np.zeros(length)
+        upper[complete_count : complete_count + num_influence + 1] = 1.0
+        if num_influence == 0:
+            lower[complete_count] = 1.0
+    else:
+        ugf = UncertainGeneratingFunction(lower_arr, upper_arr, k_cap=ugf_cap)
+        pmf_lower, pmf_upper = ugf.pmf_bounds()
 
-    top = pmf_lower.shape[0]
-    lower[complete_count : complete_count + top] = pmf_lower
-    upper[complete_count : complete_count + top] = pmf_upper
+        upper = np.ones(length)
+        # counts below the complete-domination count are impossible
+        upper[:complete_count] = 0.0
+        # counts above complete_count + num_influence are impossible as well
+        upper[complete_count + num_influence + 1 :] = 0.0
+
+        top = pmf_lower.shape[0]
+        lower[complete_count : complete_count + top] = pmf_lower
+        upper[complete_count : complete_count + top] = pmf_upper
     if k_cap is not None:
         # beyond the cap the bounds are intentionally vacuous
         lower[k_cap + 1 :] = 0.0
@@ -313,6 +324,18 @@ def combine_weighted_bounds(
     )
 
 
+def _sequential_row_sum(rows: np.ndarray, offset: float) -> np.ndarray:
+    """``((0 + rows[0]) + rows[1]) + ... + rows[-1]``, then ``+ offset``.
+
+    ``np.add.accumulate`` folds strictly row by row, so every column keeps
+    the association of a Python loop adding one row at a time.  The final
+    addition returns a fresh array, which matters twice: the result never
+    keeps the whole accumulation alive as the base of a view, and a ``-0.0``
+    column becomes ``0.0`` exactly as a sum started at ``0.0`` would have it.
+    """
+    return np.add.accumulate(rows, axis=0)[-1] + offset
+
+
 def combine_weighted_bounds_arrays(
     weights: np.ndarray,
     pmf_lower: np.ndarray,
@@ -335,23 +358,17 @@ def combine_weighted_bounds_arrays(
         raise ValueError("parts must not be empty")
     if pmf_lower.shape != pmf_upper.shape or pmf_lower.shape[0] != weights.shape[0]:
         raise ValueError("weights and bound matrices disagree on the number of pairs")
-    length = pmf_lower.shape[1]
-    lower = np.zeros(length)
-    upper = np.zeros(length)
-    total_weight = 0.0
-    for i in range(weights.shape[0]):
-        weight = float(weights[i])
-        if weight < 0:
-            raise ValueError("weights must be non-negative")
-        lower += weight * pmf_lower[i]
-        upper += weight * pmf_upper[i]
-        total_weight += weight
+    if not (weights >= 0).all():  # written so that NaN fails too
+        raise ValueError("weights must be non-negative")
+    total_weight = float(np.add.accumulate(weights)[-1])
     if total_weight > 1.0 + 1e-9:
         raise ValueError("partition-pair weights must not exceed 1")
     # any missing weight (dropped zero-mass partitions) contributes vacuous
     # bounds: nothing to the lower bounds, full mass to the upper bounds
     missing = max(0.0, 1.0 - total_weight)
-    if missing > 1e-12:
-        upper += missing
-    upper = np.minimum(upper, 1.0)
+    lower = _sequential_row_sum(weights[:, None] * pmf_lower, 0.0)
+    upper = _sequential_row_sum(
+        weights[:, None] * pmf_upper, missing if missing > 1e-12 else 0.0
+    )
+    np.minimum(upper, 1.0, out=upper)
     return DominationCountBounds(lower=lower, upper=upper, k_cap=k_cap)

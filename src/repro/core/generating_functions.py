@@ -43,12 +43,25 @@ __all__ = [
 ]
 
 
+def _check_probabilities(arr: np.ndarray, name: str) -> bool:
+    """Raise unless every entry lies in ``[0, 1]`` up to 1e-12.
+
+    The extremes of a NaN-holding array are NaN and fail the check too.
+    Returns whether an entry lies outside ``[0, 1]``, i.e. whether clipping
+    the array would change it.
+    """
+    low = arr.min(initial=0.0)
+    high = arr.max(initial=0.0)
+    if not (low >= -1e-12 and high <= 1.0 + 1e-12):
+        raise ValueError(f"{name} must contain probabilities in [0, 1]")
+    return bool(low < 0.0 or high > 1.0)
+
+
 def _as_prob_array(values: Sequence[float], name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(values, dtype=float))
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
-        raise ValueError(f"{name} must contain probabilities in [0, 1]")
+    _check_probabilities(arr, name)
     return np.clip(arr, 0.0, 1.0)
 
 
@@ -269,10 +282,27 @@ def ugf_pmf_bounds_batch(
     batched pair-bounds kernel into per-pair domination-count PMF bounds
     without constructing one :class:`UncertainGeneratingFunction` per pair.
 
-    The arithmetic is element-for-element the sequence of operations the
-    scalar class performs (the scalar path's skipped ``p == 0`` branches add
-    exact zeros here), so each row of the result is bit-identical to
-    ``UncertainGeneratingFunction(lower[i], upper[i], k_cap).pmf_bounds()``.
+    Each row of the result is bit-identical to
+    ``UncertainGeneratingFunction(lower[i], upper[i], k_cap).pmf_bounds()``,
+    because every element sees the scalar class's operations in its order:
+
+    * The expansion alternates between two preallocated, flattened
+      coefficient buffers and builds the row- and column-shifted copies in
+      two more, all in place, so the loop allocates nothing.  Per element it
+      computes ``(c * p_none + shift_row * p_lb) + shift_col * p_maybe``;
+      the absorbing last row (column) is summed into its shift *before* the
+      multiply, as in the scalar class.  Row 0 of the row shift and column 0
+      of the column shift are zero, and the absorbing row and column of
+      ``c`` stay zero until ``cap`` variables are in, so those additions are
+      skipped until then.  Adding or skipping an exact zero, like the scalar
+      class skipping its branches when ``p_lb`` or ``p_maybe`` is zero,
+      leaves a non-negative value unchanged.
+    * The upper PMF bound ``sum_{i <= k} c[i, k - i:].sum()`` is built from
+      the suffix sums ``c[:, i, j:].sum()``, one reduction over the last axis
+      per ``j`` (the same contiguous-row reduction as the scalar class's
+      ``.sum()``), and one ``np.add.accumulate``, which adds them for every
+      ``k`` strictly in order of increasing ``i``, as the scalar loop does.
+      That is ``O(n)`` numpy calls instead of ``O(n^2)``.
 
     Returns ``(pmf_lower, pmf_upper)`` of shape ``(num_batches, top + 1)``
     with ``top = n`` (or ``min(n, k_cap)`` under truncation).
@@ -281,46 +311,91 @@ def ugf_pmf_bounds_batch(
     upper_arr = np.atleast_2d(np.asarray(upper, dtype=float))
     if lower_arr.ndim != 2 or lower_arr.shape != upper_arr.shape:
         raise ValueError("lower and upper must be 2-D arrays of identical shape")
-    for name, arr in (("lower", lower_arr), ("upper", upper_arr)):
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
-            raise ValueError(f"{name} must contain probabilities in [0, 1]")
-    if np.any(lower_arr > upper_arr + 1e-12):
+    clip_lower = _check_probabilities(lower_arr, "lower")
+    clip_upper = _check_probabilities(upper_arr, "upper")
+    if not (lower_arr <= upper_arr + 1e-12).all():
         raise ValueError("lower bounds must not exceed upper bounds")
-    lower_arr = np.clip(lower_arr, 0.0, 1.0)
-    upper_arr = np.maximum(lower_arr, np.clip(upper_arr, 0.0, 1.0))
+    if clip_lower:
+        lower_arr = np.clip(lower_arr, 0.0, 1.0)
+    if clip_upper:
+        upper_arr = np.clip(upper_arr, 0.0, 1.0)
+    upper_arr = np.maximum(lower_arr, upper_arr)
     if k_cap is not None and k_cap < 0:
         raise ValueError("k_cap must be non-negative")
 
     num_batches, n = lower_arr.shape
     cap = n if k_cap is None else min(n, k_cap + 1)
     size = cap + 1
-    coeff = np.zeros((num_batches, size, size), dtype=float)
-    coeff[:, 0, 0] = 1.0
+    # the trinomial factors of every variable, variable-major, so factor[i]
+    # is a (num_batches, 1) column broadcasting over one coefficient matrix
+    p_none = (1.0 - upper_arr).T[:, :, None]
+    p_lb = lower_arr.T[:, :, None]
+    p_maybe = (upper_arr - lower_arr).T[:, :, None]
+
+    # coefficient matrices flattened row-major to (num_batches, size * size):
+    # every full-buffer operation is then one contiguous numpy loop
+    coeff = np.zeros((num_batches, size * size), dtype=float)
+    coeff[:, 0] = 1.0
+    spare = np.empty_like(coeff)
+    # row 0 of the row shift and column 0 of the column shift must stay 0
+    row_shift = np.zeros_like(coeff)
+    row_shift_tail = row_shift[:, size:]
+    row_shift_last = row_shift[:, -size:]
+    col_shift = np.zeros_like(coeff)
+    col_shift_tail = col_shift[:, 1:]
+    col_shift_first = col_shift[:, ::size]
+    col_shift_last = col_shift[:, size - 1 :: size]
+    buffers = [
+        # (buffer, rows 0..size-2, last row, all but the last entry, last column)
+        (buf, buf[:, :-size], buf[:, -size:], buf[:, :-1], buf[:, size - 1 :: size])
+        for buf in (coeff, spare)
+    ]
+    current, following = buffers
     for i in range(n):
-        p_lb = lower_arr[:, i, None, None]
-        p_ub = upper_arr[:, i, None, None]
-        new = coeff * (1.0 - p_ub)
-        shifted = np.zeros_like(coeff)
-        shifted[:, 1:size, :] += coeff[:, : size - 1, :]
-        shifted[:, size - 1, :] += coeff[:, size - 1, :]
-        new += shifted * p_lb
-        shifted = np.zeros_like(coeff)
-        shifted[:, :, 1:size] += coeff[:, :, : size - 1]
-        shifted[:, :, size - 1] += coeff[:, :, size - 1]
-        new += shifted * (p_ub - p_lb)
-        coeff = new
+        c, c_head, c_last_row, c_init, c_last_col = current
+        out = following[0]
+        # after i variables no count exceeds i, so the absorbing last row and
+        # column hold only zeros, and adding them changes nothing, until
+        # i reaches the cap
+        absorbing = i >= cap
+        np.multiply(c, p_none[i], out=out)
+        # definite hit: every row moves one down, the last row absorbs
+        row_shift_tail[...] = c_head
+        if absorbing:
+            row_shift_last += c_last_row
+        row_shift *= p_lb[i]
+        out += row_shift
+        # possible hit: every column moves one right, the last one absorbs;
+        # the flat copy wraps each row's last entry into column 0 of the
+        # next row, which is cleared
+        col_shift_tail[...] = c_init
+        if absorbing:
+            col_shift_last += c_last_col
+        col_shift_first[...] = 0.0
+        col_shift *= p_maybe[i]
+        out += col_shift
+        current, following = following, current
+    coeff = current[0].reshape(num_batches, size, size)
 
     top = n if k_cap is None else min(n, k_cap)
-    pmf_lower = np.zeros((num_batches, top + 1), dtype=float)
-    pmf_upper = np.empty((num_batches, top + 1), dtype=float)
-    for k in range(top + 1):
-        if not (k == cap and n > cap):
-            # the last row also holds mass of definite counts > cap
-            pmf_lower[:, k] = coeff[:, k, 0]
-        total = np.zeros(num_batches, dtype=float)
-        for i in range(0, min(k, size - 1) + 1):
-            total += coeff[:, i, max(0, k - i) :].sum(axis=-1)
-        pmf_upper[:, k] = np.minimum(total, 1.0)
+    width = top + 1
+    # top < cap whenever n > cap, so no entry read here is the absorbing row
+    pmf_lower = coeff[:, :width, 0].copy()
+    # Lemma 4's upper bound for count k is sum_{i <= k} c[i, k - i:].sum().
+    # Each suffix sum c[i, j:].sum() is stored at (i, i + j) of a
+    # width x width matrix, one superdiagonal per j; summing the matrix down
+    # its rows in order of increasing i then yields every k at once.
+    diagonals = np.zeros((num_batches, width * width), dtype=float)
+    for j in range(width):
+        np.add.reduce(
+            coeff[:, : width - j, j:],
+            axis=-1,
+            out=diagonals[:, j : (width - j) * (width + 1) : width + 1],
+        )
+    folded = np.add.accumulate(
+        diagonals.reshape(num_batches, width, width), axis=1
+    )
+    pmf_upper = np.minimum(folded[:, -1, :], 1.0)
     return pmf_lower, pmf_upper
 
 

@@ -38,6 +38,7 @@ from .domination import complete_domination_filter
 from .kernels import pdom_bounds_csr
 from .domination_count import (
     DominationCountBounds,
+    _sequential_row_sum,
     combine_weighted_bounds_arrays,
     domination_count_bounds,
     domination_count_bounds_batch,
@@ -560,25 +561,25 @@ class IDCARun:
         # matrix rows; zero-mass pairs carry no possible worlds and are
         # dropped exactly as the scalar loop skipped them
         pair_weights = (target_masses[:, None] * reference_masses[None, :]).ravel()
-        active: list[int] = []
-        widths = np.zeros(num_candidates)
-        for pair_idx in range(num_pairs):
-            weight = float(pair_weights[pair_idx])
-            if weight <= 0.0:
-                continue
-            widths += weight * (upper_matrix[pair_idx] - lower_matrix[pair_idx])
-            active.append(pair_idx)
-        self._previous_widths = widths
+        active = np.flatnonzero(pair_weights > 0.0)
+        if active.shape[0] < num_pairs:
+            pair_weights = pair_weights[active]
+            lower_matrix = lower_matrix[active]
+            upper_matrix = upper_matrix[active]
+        # per-candidate bound width, weighted over the pairs in pair order
+        self._previous_widths = _sequential_row_sum(
+            pair_weights[:, None] * (upper_matrix - lower_matrix), 0.0
+        )
 
         pmf_lower, pmf_upper = domination_count_bounds_batch(
-            lower_matrix[active],
-            upper_matrix[active],
+            lower_matrix,
+            upper_matrix,
             complete_count=self._complete_count,
             total_objects=self._total_objects,
             k_cap=idca.k_cap,
         )
         bounds = combine_weighted_bounds_arrays(
-            pair_weights[active], pmf_lower, pmf_upper, k_cap=idca.k_cap
+            pair_weights, pmf_lower, pmf_upper, k_cap=idca.k_cap
         )
         self.result.bounds = bounds
         self.result.iterations.append(
@@ -586,7 +587,7 @@ class IDCARun:
                 iteration=iteration,
                 uncertainty=bounds.uncertainty(),
                 elapsed_seconds=time.perf_counter() - iter_start,
-                num_pairs=len(active),
+                num_pairs=int(active.shape[0]),
                 candidate_partitions=max_candidate_partitions,
                 cache_seconds=cache_seconds,
                 shared_hits=getattr(cache, "shared_hits", 0) - shared_before[0],
